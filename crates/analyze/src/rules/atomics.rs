@@ -82,7 +82,8 @@ mod tests {
     fn exemption_table_modules_are_exempt() {
         let src = "self.0.fetch_add(n, Ordering::Relaxed);";
         assert!(run("crates/telemetry/src/registry.rs", src).is_empty());
-        assert!(run("crates/core/src/sharded.rs", src).is_empty());
+        // The sharded cache holds no atomic any more, so it is not exempt.
+        assert_eq!(run("crates/core/src/sharded.rs", src).len(), 1);
         assert_eq!(run("crates/telemetry/src/drift.rs", src).len(), 1);
     }
 

@@ -113,19 +113,6 @@ fn bench_plan_vs_interpreter(c: &mut Criterion) {
                 .sum::<f64>()
         });
     });
-    let cached: QueryEngine<_> = QueryEngine::new(tree);
-    cached.enable_marginal_cache(64);
-    for (t, r) in &queries {
-        cached.estimate_mass(tree, factors, t, r).unwrap();
-    }
-    group.bench_function("planned_marginal_cache", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|(t, r)| cached.estimate_mass(tree, factors, t, r).unwrap())
-                .sum::<f64>()
-        });
-    });
     group.finish();
     let trace = engine.trace();
     eprintln!(

@@ -566,18 +566,24 @@ mod tests {
     }
 
     #[test]
-    fn updates_invalidate_cached_marginals() {
+    fn updates_invalidate_lowered_kernels() {
         let rel = relation(4096);
         let mut m = MaintainedDbHistogram::build(&rel, DbConfig::new(400)).unwrap();
-        // With the materialized-marginal cache on, an update must not let
-        // a stale cached marginal answer the next query.
-        m.synopsis().enable_marginal_cache(8);
+        // Warm the shape so the pre-update estimate is a kernel answer;
+        // an update must not let that stale kernel answer the next query.
+        m.estimate(&Query::range(0, 3, 3));
+        let hits = m.synopsis().query_trace().kernel_hits;
         let before = m.estimate(&Query::range(0, 3, 3));
+        assert_eq!(
+            m.synopsis().query_trace().kernel_hits,
+            hits + 1,
+            "warm estimate rides the kernel"
+        );
         for _ in 0..500 {
             m.insert(&[3, 3, 0]);
         }
         let after = m.estimate(&Query::range(0, 3, 3));
-        assert!(after > before + 400.0, "stale cached marginal served after update: {after}");
+        assert!(after > before + 400.0, "stale lowered kernel served after update: {after}");
     }
 
     #[test]

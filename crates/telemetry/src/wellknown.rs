@@ -25,8 +25,6 @@ pub struct WellKnown {
     pub query_plans_compiled: Arc<Counter>,
     pub query_plan_cache_hits: Arc<Counter>,
     pub query_plan_cache_misses: Arc<Counter>,
-    pub query_marginal_cache_hits: Arc<Counter>,
-    pub query_marginal_cache_misses: Arc<Counter>,
     pub query_kernel_hits: Arc<Counter>,
     pub query_kernel_lowered_dense: Arc<Counter>,
     pub query_kernel_lowered_sparse: Arc<Counter>,
@@ -102,8 +100,6 @@ pub fn wellknown() -> &'static WellKnown {
             query_plans_compiled: r.counter("dbhist_query_plans_compiled_total"),
             query_plan_cache_hits: r.counter("dbhist_query_plan_cache_hits_total"),
             query_plan_cache_misses: r.counter("dbhist_query_plan_cache_misses_total"),
-            query_marginal_cache_hits: r.counter("dbhist_query_marginal_cache_hits_total"),
-            query_marginal_cache_misses: r.counter("dbhist_query_marginal_cache_misses_total"),
             query_kernel_hits: r.counter("dbhist_query_kernel_hits_total"),
             query_kernel_lowered_dense: r.counter("dbhist_query_kernel_lowered_dense_total"),
             query_kernel_lowered_sparse: r.counter("dbhist_query_kernel_lowered_sparse_total"),
