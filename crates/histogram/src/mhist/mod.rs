@@ -196,8 +196,8 @@ impl SplitTree {
     }
 
     /// Estimated frequency mass inside a bounding box over (a subset of)
-    /// the histogram's attributes — the allocation-light form used by the
-    /// `product` operator's separator lookups.
+    /// the histogram's attributes — the form the `product` operator uses
+    /// for its coarse buckets.
     #[must_use]
     pub fn mass_in_bounding_box(&self, bbox: &BoundingBox) -> f64 {
         let mut constraint: Vec<(u32, u32)> = self.domain.ranges().to_vec();

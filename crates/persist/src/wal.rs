@@ -390,11 +390,27 @@ pub struct WalWriter {
     generation: u64,
     next_seq: u64,
     appended_bytes: u64,
+    /// Set when an append failed part-way: the file may hold a torn
+    /// record at the cursor, so nothing more may be written through this
+    /// handle.
+    poisoned: bool,
 }
 
 impl WalWriter {
     fn io(path: &Path) -> impl Fn(std::io::Error) -> PersistError + '_ {
         move |e| PersistError::Io { path: path.display().to_string(), reason: e.to_string() }
+    }
+
+    /// Refuses to write through a poisoned handle.
+    fn check_usable(&self) -> Result<(), PersistError> {
+        if self.poisoned {
+            return Err(PersistError::Io {
+                path: self.path.display().to_string(),
+                reason: "an earlier append failed part-way; reopen the log with WalWriter::open"
+                    .into(),
+            });
+        }
+        Ok(())
     }
 
     /// Creates (or truncates) the log at `path` with a fresh
@@ -427,7 +443,7 @@ impl WalWriter {
         file.write_all(&encode_header(arity, generation)).map_err(Self::io(&path))?;
         file.sync_data().map_err(Self::io(&path))?;
         crate::sync_parent_dir(&path)?;
-        Ok(Self { path, file, arity, generation, next_seq: 0, appended_bytes: 0 })
+        Ok(Self { path, file, arity, generation, next_seq: 0, appended_bytes: 0, poisoned: false })
     }
 
     /// Opens an existing log for appending: replays its committed
@@ -465,6 +481,7 @@ impl WalWriter {
             generation: recovery.generation,
             next_seq: recovery.batches.len() as u64,
             appended_bytes: (recovery.valid_len - WAL_HEADER_LEN) as u64,
+            poisoned: false,
         };
         use std::io::Seek as _;
         writer.file.seek(std::io::SeekFrom::End(0)).map_err(Self::io(&writer.path.clone()))?;
@@ -478,13 +495,20 @@ impl WalWriter {
     /// # Errors
     ///
     /// Returns [`PersistError::Corrupt`] on an arity mismatch or
-    /// [`PersistError::Io`] on filesystem failure; the log's committed
-    /// prefix is unaffected by a failed append.
+    /// [`PersistError::Io`] on filesystem failure. A failed write or sync
+    /// may leave part of the record after the committed prefix, so it
+    /// poisons the writer: every later `append` and
+    /// [`WalWriter::truncate`] returns [`PersistError::Io`] and writes
+    /// nothing. [`WalWriter::open`] cuts the torn tail and resumes.
     pub fn append(&mut self, ops: &[WalOp]) -> Result<u64, PersistError> {
+        self.check_usable()?;
         let seq = self.next_seq;
         let record = encode_record(seq, self.arity, ops)?;
-        self.file.write_all(&record).map_err(Self::io(&self.path))?;
-        self.file.sync_data().map_err(Self::io(&self.path))?;
+        let written = self.file.write_all(&record).and_then(|()| self.file.sync_data());
+        if let Err(e) = written {
+            self.poisoned = true;
+            return Err(Self::io(&self.path)(e));
+        }
         self.next_seq += 1;
         self.appended_bytes += record.len() as u64;
         Ok(seq)
@@ -504,9 +528,11 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Io`] on filesystem failure; the old log
-    /// remains intact (and replayable) if any step fails.
+    /// Returns [`PersistError::Io`] on filesystem failure, or if an
+    /// earlier append poisoned the writer; the old log remains intact
+    /// (and replayable) if any step fails.
     pub fn truncate(&mut self) -> Result<(), PersistError> {
+        self.check_usable()?;
         let mut tmp = self.path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
@@ -637,6 +663,32 @@ mod tests {
         let contents = read(&crate::read_file(&path).unwrap()).unwrap();
         assert_eq!(contents.batches.len(), 2);
         assert_eq!(contents.batches[1].ops, sample_batches()[2]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_append_poisons_the_writer() {
+        let path = temp_path("poison");
+        let mut w = WalWriter::create(&path, 3).unwrap();
+        w.append(&sample_batches()[0]).unwrap();
+        let committed = crate::read_file(&path).unwrap();
+        // A read-only handle makes the next write fail.
+        let writable = std::mem::replace(&mut w.file, File::open(&path).unwrap());
+        assert!(matches!(w.append(&sample_batches()[1]), Err(PersistError::Io { .. })));
+        w.file = writable;
+        // Even with a writable file back, the handle refuses to write.
+        assert!(matches!(w.append(&sample_batches()[1]), Err(PersistError::Io { .. })));
+        assert!(matches!(w.truncate(), Err(PersistError::Io { .. })));
+        assert_eq!(
+            crate::read_file(&path).unwrap(),
+            committed,
+            "nothing written after the failure"
+        );
+        assert_eq!(w.next_seq(), 1);
+        // Reopening is the way out.
+        let mut w = WalWriter::open(&path, 3).unwrap();
+        assert_eq!(w.append(&sample_batches()[1]).unwrap(), 1);
+        assert_eq!(read(&crate::read_file(&path).unwrap()).unwrap().batches.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
