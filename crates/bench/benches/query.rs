@@ -6,10 +6,9 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dbhist_bench::experiments::Scale;
+use dbhist_bench::fig3::estimate_mass_interpreted;
 use dbhist_core::baselines::{IndEstimator, MhistEstimator};
-use dbhist_core::marginal::{
-    compute_marginal_naive, compute_marginal_with_stats, estimate_mass_interpreted,
-};
+use dbhist_core::marginal::{compute_marginal_naive, compute_marginal_with_stats};
 use dbhist_core::plan::QueryEngine;
 use dbhist_core::Query;
 use dbhist_core::SelectivityEstimator;

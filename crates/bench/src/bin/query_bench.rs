@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dbhist_bench::experiments::Scale;
-use dbhist_core::marginal::estimate_mass_interpreted;
+use dbhist_bench::fig3::estimate_mass_interpreted;
 use dbhist_core::plan::{QueryEngine, QueryTrace};
 use dbhist_core::{Query, SynopsisBuilder};
 use dbhist_data::workload::{Workload, WorkloadConfig};

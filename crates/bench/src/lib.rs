@@ -16,12 +16,17 @@
 //! [`Scale`] lets the same code run at the paper's full sizes (the
 //! `repro` binary's default) or at a reduced scale for tests and timing
 //! benches.
+//!
+//! [`fig3`] holds the direct Fig. 3 `ComputeMarginal` recursion: the
+//! oracle the plan engine is tested against and the baseline
+//! `query_bench` times it against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod experiments;
+pub mod fig3;
 pub mod report;
 
 pub use experiments::Scale;

@@ -3,13 +3,13 @@
 //!
 //! The engine resolves every `estimate_mass` through a cascade — lowered
 //! kernel, cached plan, fresh compilation — and each level makes further
-//! choices (dense vs sparse kernel layouts, shed projections applied or
-//! skipped, scratch arenas reused or allocated). None of that is visible
+//! choices (shed projections applied or skipped, kernels lowered or not,
+//! scratch arenas reused or allocated). None of that is visible
 //! from the estimate alone, and `QueryTrace` only shows *cumulative*
 //! counters. [`ExplainReport`] captures one query's actual execution:
 //! the resolved [`QueryPath`], per-group plan steps with wall-clock
 //! nanoseconds and intermediate factor sizes, shed decisions with skip
-//! reasons, kernel layout choices, and scratch reuse.
+//! reasons, whether the shape's kernel lowered, and scratch reuse.
 //!
 //! # Zero-cost when off
 //!
@@ -27,21 +27,17 @@
 use std::fmt::Write as _;
 
 use dbhist_distribution::AttrSet;
-use dbhist_histogram::IndexLayout;
 
 /// How the engine resolved a query, from fastest to slowest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryPath {
-    /// Answered by a lowered [`crate::kernel::MassKernel`]: no plan, no
-    /// factor, no tree traversal.
+    /// Answered by a lowered `MassKernel`: no plan, no factor, no tree
+    /// traversal.
     KernelHit,
     /// Answered by executing an already-compiled [`crate::plan::MassPlan`].
     PlanCacheHit,
     /// The query shape was new: a plan was compiled, then executed.
     PlanCompiled,
-    /// Answered by the recursive Fig. 3 interpreter (baselines and
-    /// equivalence tests; the engine itself never takes this path).
-    Interpreter,
     /// No constrained attribute: the estimate is the table total and no
     /// engine machinery runs.
     TableTotal,
@@ -56,7 +52,6 @@ impl QueryPath {
             QueryPath::KernelHit => "kernel_hit",
             QueryPath::PlanCacheHit => "plan_cache_hit",
             QueryPath::PlanCompiled => "plan_compiled",
-            QueryPath::Interpreter => "interpreter",
             QueryPath::TableTotal => "table_total",
         }
     }
@@ -149,12 +144,9 @@ pub trait ExplainProbe {
     /// wall-clock nanoseconds, producing `mass`.
     fn kernel_group(&mut self, _index: usize, _mass: f64, _ns: u64) {}
 
-    /// A group marginal (or kernel group) uses the given flat layout.
-    fn layout(&mut self, _layout: IndexLayout) {}
-
     /// After plan execution: `true` if every group lowered and a kernel
-    /// was cached for this shape, `false` on an interpreter-representation
-    /// fallback.
+    /// was cached for this shape, `false` when a group's factor has no
+    /// lowering and the plan keeps serving the shape.
     fn kernel_lowered(&mut self, _lowered: bool) {}
 
     /// The kernel walk acquired scratch; `reused` when it came from the
@@ -209,9 +201,6 @@ pub struct ExplainReport {
     /// Per-component execution details (empty on the kernel path — the
     /// kernel has no plan steps).
     pub groups: Vec<GroupReport>,
-    /// Flat-layout choice per lowered group (`dense` / `sparse`), from
-    /// the kernel on a hit or from this execution's lowering.
-    pub layouts: Vec<&'static str>,
     /// Whether this execution lowered (or reused) a kernel; `None` when
     /// no lowering was attempted (e.g. [`QueryPath::TableTotal`]).
     pub kernel_lowered: Option<bool>,
@@ -222,13 +211,6 @@ pub struct ExplainReport {
     pub total_ns: u64,
     /// The estimate itself — bit-identical to the unexplained call.
     pub estimate: f64,
-}
-
-fn layout_str(layout: IndexLayout) -> &'static str {
-    match layout {
-        IndexLayout::Dense => "dense",
-        IndexLayout::Sparse => "sparse",
-    }
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -274,14 +256,6 @@ impl ExplainReport {
             fmt_f64(self.estimate),
             self.total_ns
         );
-        s.push_str(",\"layouts\":[");
-        for (i, l) in self.layouts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{l}\"");
-        }
-        s.push(']');
         if let Some(lowered) = self.kernel_lowered {
             let _ = write!(s, ",\"kernel_lowered\":{lowered}");
         }
@@ -336,7 +310,6 @@ impl ExplainRecorder {
                 path: QueryPath::TableTotal,
                 target: format!("{target}"),
                 groups: Vec::new(),
-                layouts: Vec::new(),
                 kernel_lowered: None,
                 scratch_reused: None,
                 total_ns: 0,
@@ -416,10 +389,6 @@ impl ExplainProbe for ExplainRecorder {
         });
     }
 
-    fn layout(&mut self, layout: IndexLayout) {
-        self.report.layouts.push(layout_str(layout));
-    }
-
     fn kernel_lowered(&mut self, lowered: bool) {
         self.report.kernel_lowered = Some(lowered);
     }
@@ -439,7 +408,6 @@ mod tests {
             QueryPath::KernelHit,
             QueryPath::PlanCacheHit,
             QueryPath::PlanCompiled,
-            QueryPath::Interpreter,
             QueryPath::TableTotal,
         ] {
             let tag = path.as_str();
@@ -461,7 +429,6 @@ mod tests {
         rec.step(StepKind::ShedSkipped(ShedSkip::AlreadyTidy), 40, 16);
         rec.group_mass(12.5);
         rec.kernel_lowered(true);
-        rec.layout(IndexLayout::Dense);
         let report = rec.finish(12.5, 999);
         assert_eq!(report.path, QueryPath::PlanCompiled);
         assert_eq!(report.groups.len(), 1);
@@ -469,7 +436,6 @@ mod tests {
         assert_eq!(report.groups[0].steps[0].clique, Some(1));
         assert_eq!(report.groups[0].steps[1].skip, Some("already_tidy"));
         assert_eq!(report.groups[0].mass, Some(12.5));
-        assert_eq!(report.layouts, vec!["dense"]);
         assert_eq!(report.kernel_lowered, Some(true));
         assert_eq!(report.total_ns, 999);
         let json = report.to_json();

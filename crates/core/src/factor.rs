@@ -66,7 +66,7 @@ pub trait Factor: Sized + Clone {
     }
 
     /// Lowers the factor into a flattened [`TreeIndex`] for the dense
-    /// kernel path (see [`crate::kernel`]), or `None` when no bit-identical
+    /// kernel path (see `crate::kernel`), or `None` when no bit-identical
     /// lowering exists for this representation. The engine falls back to
     /// direct plan execution on `None`.
     fn lower_index(&self) -> Option<TreeIndex> {

@@ -1,13 +1,12 @@
 //! Lowered execution kernels for the uncached estimate path.
 //!
-//! The plan-based engine beat the recursive interpreter mostly through
-//! memoized *marginals* — a cache a diverse workload defeats. This module
-//! attacks the per-query work itself: once a [`MassPlan`]'s shape is
-//! known, each independent component's **loose marginal** is executed one
-//! time through the ordinary factor algebra (so it is bit-identical by
-//! construction) and then *lowered* into a
-//! [`TreeIndex`](dbhist_histogram::TreeIndex) — two contiguous flat
-//! arrays (per-node subtree totals in `f64`, packed split structure with
+//! Plan execution still runs products, projections and full-tree scans
+//! on every query. This module removes that per-query work: once a
+//! [`MassPlan`](crate::plan::MassPlan)'s shape is known, each independent
+//! component's **loose marginal** is executed one time through the
+//! ordinary factor algebra (so it is bit-identical by construction) and
+//! then *lowered* into a [`TreeIndex`] — two contiguous flat arrays
+//! (per-node subtree totals in `f64`, packed split structure with
 //! precomputed child offsets) that answer `mass_in_box` with a pruned
 //! O(log b)-per-boundary walk instead of re-running products, projections,
 //! and full-tree scans per query.
@@ -22,16 +21,16 @@
 //! bit-identical to executing the plan — the invariant every prior PR
 //! pinned, extended to the kernels by `tests/plan_equivalence.rs`.
 //!
-//! Dense vs sparse lowering is chosen per clique-group by leaf occupancy
-//! (see [`IndexLayout`](dbhist_histogram::IndexLayout)); both layouts
-//! share the walk and the bit-identity contract. Factors without a
-//! lowering (exact distributions, grids, wavelets) simply return `None`
+//! Only the engine builds and evaluates kernels: it lowers a shape on
+//! its first execution and calls [`MassKernel::evaluate_ranges_probed`]
+//! on every later query of that shape. Factors without a lowering
+//! (exact distributions, grids, wavelets) simply return `None`
 //! from [`Factor::lower_index`](crate::factor::Factor::lower_index) and
 //! the engine keeps executing their plans directly.
 //!
 //! **Summation-order contract:** a lowered kernel never re-associates a
 //! sum. Subtree totals are precomputed with the same tree-shaped
-//! `(left + right)` grouping the interpreter's recursion produces, the
+//! `(left + right)` grouping the Fig. 3 recursion produces, the
 //! walk visits children in the same left-then-right order, and the group
 //! product loop keeps plan order. Any future kernel optimization must
 //! preserve this or demote itself behind a new equivalence proof.
@@ -41,8 +40,7 @@ use std::time::Instant;
 use dbhist_distribution::AttrId;
 use dbhist_histogram::TreeIndex;
 
-use crate::explain::{ExplainProbe, NoProbe};
-use crate::query::Query;
+use crate::explain::ExplainProbe;
 use crate::scratch::PlanScratch;
 
 /// A fully lowered [`MassPlan`](crate::plan::MassPlan): the synopsis
@@ -50,11 +48,12 @@ use crate::scratch::PlanScratch;
 /// plan order. Built by the engine on the first execution of a plan
 /// shape; evaluated on every subsequent query with that shape.
 #[derive(Debug, Clone)]
-pub struct MassKernel {
+pub(crate) struct MassKernel {
     /// The synopsis total `N` at lowering time (factors are immutable
     /// between invalidations, which drop lowered kernels).
     total: f64,
-    /// Lowered loose group marginals, in [`MassPlan`] group order.
+    /// Lowered loose group marginals, in [`MassPlan`](crate::plan::MassPlan)
+    /// group order.
     groups: Vec<TreeIndex>,
 }
 
@@ -66,33 +65,11 @@ impl MassKernel {
         Self { total, groups }
     }
 
-    /// The lowered per-group indices, in plan order.
-    #[must_use]
-    pub fn groups(&self) -> &[TreeIndex] {
-        &self.groups
-    }
-
-    /// Evaluates the kernel for one concrete query, reusing `scratch`.
-    /// Bit-identical to executing the plan it was lowered from.
-    #[must_use]
-    pub fn evaluate(&self, query: &Query, scratch: &mut PlanScratch) -> f64 {
-        self.evaluate_ranges(query.ranges(), scratch)
-    }
-
-    /// Range-slice form of [`MassKernel::evaluate`] (the histogram-layer
-    /// representation).
-    #[must_use]
-    pub(crate) fn evaluate_ranges(
-        &self,
-        ranges: &[(AttrId, u32, u32)],
-        scratch: &mut PlanScratch,
-    ) -> f64 {
-        self.evaluate_ranges_probed(ranges, scratch, &mut NoProbe)
-    }
-
-    /// [`MassKernel::evaluate_ranges`] with an [`ExplainProbe`] observing
-    /// each group walk. With [`NoProbe`] every probe site (and its clock
-    /// read) monomorphizes away, so the unprobed path is the old code.
+    /// Evaluates the kernel for one query box, reusing `scratch`, with an
+    /// [`ExplainProbe`] observing each group walk. Bit-identical to
+    /// executing the plan it was lowered from. With
+    /// [`NoProbe`](crate::explain::NoProbe) every probe site (and its
+    /// clock read) monomorphizes away.
     pub(crate) fn evaluate_ranges_probed<P: ExplainProbe>(
         &self,
         ranges: &[(AttrId, u32, u32)],

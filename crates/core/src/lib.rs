@@ -18,7 +18,11 @@
 //!   recursion into cached [`plan::MarginalPlan`]s executed with
 //!   zero-clone (`Cow`) operand passing, plus the per-synopsis
 //!   [`plan::QueryEngine`] workload cache and [`plan::QueryTrace`]
-//!   operation counters.
+//!   operation counters. Each estimate step has one implementation
+//!   here; the direct recursion it is tested against lives in
+//!   `dbhist_bench::fig3`.
+//! * `kernel` (crate-internal) — a shape's group marginals lowered into
+//!   flat `TreeIndex` walks, which the engine answers warm queries from.
 //! * [`alloc`] — storage allocation across clique histograms: the optimal
 //!   pseudo-polynomial dynamic program and the `IncrementalGains` greedy
 //!   (Fig. 2).
@@ -73,13 +77,13 @@ pub mod estimator;
 pub mod explain;
 pub mod factor;
 pub mod ingest;
-pub mod kernel;
+pub(crate) mod kernel;
 pub mod maintenance;
 pub mod marginal;
 pub mod observe;
 pub mod plan;
 pub mod query;
-pub mod scratch;
+pub(crate) mod scratch;
 pub mod service;
 pub mod sharded;
 pub mod snapshot;
@@ -95,11 +99,9 @@ pub use explain::{
 };
 pub use factor::{ExactFactor, Factor};
 pub use ingest::{IngestConfig, IngestSession, RecoveryReport, TuneOutcome};
-pub use kernel::MassKernel;
 pub use observe::ObservabilityServer;
 pub use plan::{MarginalPlan, MassPlan, QueryEngine, QueryTrace};
 pub use query::{Predicate, Query};
-pub use scratch::PlanScratch;
 pub use service::{
     BatchReply, BatchTicket, EstimatorService, Generation, ServeStats, ServiceConfig,
 };

@@ -15,15 +15,17 @@
 //! `serve_observability` is called explicitly, and dropping the returned
 //! [`ObservabilityServer`] stops the listener. `/journal` is a *drain* —
 //! each event is delivered exactly once across all drainers (the journal
-//! is a bounded ring; see [`dbhist_telemetry::journal`]).
+//! is a bounded ring; see [`dbhist_telemetry::journal`](mod@dbhist_telemetry::journal)).
 //!
 //! Request handling is deliberately minimal: only the request line of a
 //! `GET` is parsed (headers are consumed and ignored), every response
 //! carries `Content-Length` and `Connection: close`, and each connection
 //! serves one request. That is enough for `curl`, Prometheus scrapers,
-//! and health probes, without pulling in an HTTP stack.
+//! and health probes, without pulling in an HTTP stack. The request line
+//! and each header line are capped at 8 KiB (`MAX_LINE_BYTES`); a
+//! longer line is answered `400` without reading the rest of it.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,6 +47,12 @@ const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Upper bound on request header lines consumed before responding.
 const MAX_HEADER_LINES: usize = 64;
+
+/// Upper bound on the bytes of the request line and of each header line.
+/// [`READ_TIMEOUT`] bounds each read, not the request, so without this a
+/// client streaming bytes with no newline would grow the line buffer
+/// without limit and hold the single accept thread.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
 
 /// A running observability listener; dropping it stops the accept thread
 /// and releases the port.
@@ -132,17 +140,29 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut fits = read_bounded_line(&mut reader, &mut request_line)?;
     // Consume (and ignore) headers up to the blank line so the client
     // never sees a reset while still sending.
     let mut header = String::new();
     for _ in 0..MAX_HEADER_LINES {
+        if !fits {
+            break;
+        }
         header.clear();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
+        fits = read_bounded_line(&mut reader, &mut header)?;
+        if header.trim().is_empty() {
             break;
         }
     }
     let mut stream = reader.into_inner();
+    if !fits {
+        return respond(
+            &mut stream,
+            "400 Bad Request",
+            "text/plain; charset=utf-8",
+            "request line or header line too long\n",
+        );
+    }
     let path = match parse_get_path(&request_line) {
         Some(path) => path,
         None => {
@@ -183,6 +203,13 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
             "routes: /metrics /health /explain /journal\n",
         ),
     }
+}
+
+/// Appends one line of at most [`MAX_LINE_BYTES`] to `line`; `false` when
+/// the cap was reached before a newline (the line is too long).
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<bool> {
+    let read = reader.by_ref().take(MAX_LINE_BYTES).read_line(line)?;
+    Ok(line.ends_with('\n') || u64::try_from(read).is_ok_and(|n| n < MAX_LINE_BYTES))
 }
 
 /// Extracts the path of a `GET <path> HTTP/x.y` request line (query
@@ -327,6 +354,28 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert!(line.starts_with("HTTP/1.1 405"), "{line}");
+    }
+
+    #[test]
+    fn oversized_line_is_rejected_and_endpoint_stays_up() {
+        let service = service(0);
+        let server = service.serve_observability("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // 1 MiB with no newline, written from another thread: the server
+        // stops reading at the cap, so the tail of the write may fail.
+        let mut writer = stream.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'A'; 1 << 20]);
+        });
+        let mut reader = BufReader::new(stream);
+        let mut status = String::new();
+        let _ = reader.read_line(&mut status);
+        assert!(status.starts_with("HTTP/1.1 400"), "got {status:?}");
+        drop(reader);
+        flood.join().unwrap();
+        let health = get(server.addr(), "/health");
+        assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
     }
 
     #[test]

@@ -23,20 +23,19 @@
 //! 3. **Shape cache** — [`QueryEngine`] keeps one bounded, sharded LRU
 //!    keyed by canonical [`AttrSet`] plus plan variant. Each entry holds
 //!    the compiled plan and, for factor representations with a
-//!    bit-identical lowering ([`Factor::lower_index`]), the
-//!    [`MassKernel`](crate::kernel::MassKernel) the shape's first
-//!    execution lowered its group marginals into. Every later query with
-//!    that shape skips plan execution *and* `mass_in_box` tree recursion,
-//!    answering from two flat arrays with pooled scratch
-//!    ([`crate::scratch`]) — no per-query allocation. Every operation is
-//!    counted in a [`QueryTrace`] for tests, benches, and production
-//!    introspection.
+//!    bit-identical lowering ([`Factor::lower_index`]), the `MassKernel`
+//!    the shape's first execution lowered its group marginals into.
+//!    Every later query with that shape skips plan execution *and*
+//!    `mass_in_box` tree recursion, answering from two flat arrays with
+//!    pooled scratch (`crate::scratch`) — no per-query allocation. Every
+//!    operation is counted in a [`QueryTrace`] for tests, benches, and
+//!    production introspection.
 //!
-//! Planned execution is *operation-identical* to the recursive
-//! interpreter ([`crate::marginal::compute_marginal_interpreted`]): the
-//! same products, projections, and shed decisions run in the same order
-//! on the same operands, so results match bit-for-bit (property-tested in
-//! `tests/plan_equivalence.rs`).
+//! Planned execution is *operation-identical* to the direct Fig. 3
+//! recursion, which lives on only as a test oracle (`dbhist_bench::fig3`):
+//! the same products, projections, and shed decisions run in the same
+//! order on the same operands, so results match bit-for-bit
+//! (property-tested in `tests/plan_equivalence.rs`).
 
 use std::borrow::Cow;
 use std::marker::PhantomData;
@@ -44,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dbhist_distribution::AttrSet;
-use dbhist_histogram::{IndexLayout, TreeIndex};
+use dbhist_histogram::TreeIndex;
 use dbhist_model::junction::{RootedJunctionTree, RootedViews};
 use dbhist_model::JunctionTree;
 use dbhist_telemetry::registry::Counter;
@@ -109,13 +108,14 @@ pub struct QueryTrace {
     pub marginal_cache_hits: usize,
     /// Always 0, for the same reason as the hit counter above.
     pub marginal_cache_misses: usize,
-    /// Queries answered entirely by a lowered [`crate::kernel::MassKernel`]
-    /// (no plan execution, no tree recursion).
+    /// Queries answered entirely by a lowered `MassKernel` (no plan
+    /// execution, no tree recursion).
     pub kernel_hits: usize,
-    /// Group marginals lowered into dense flat indices.
+    /// Group marginals lowered into flat [`TreeIndex`]es.
     pub kernel_lowered_dense: usize,
-    /// Group marginals lowered into sparse (zero-subtree-collapsed) flat
-    /// indices.
+    /// Always 0: `TreeIndex` has one layout, and every lowering counts in
+    /// `kernel_lowered_dense`. Kept so the struct's field set, and code
+    /// that spells it out, stay stable.
     pub kernel_lowered_sparse: usize,
     /// Mass-plan executions that could not lower every group (factor
     /// representation has no bit-identical lowering); the engine keeps
@@ -153,10 +153,11 @@ fn to_usize(n: u64) -> usize {
 }
 
 /// The engine's cumulative counters, one lock-free [`Counter`] per
-/// live [`QueryTrace`] field (the two retired marginal-cache fields
-/// always read 0). Executors still fill a local `QueryTrace` (exact,
-/// single-threaded accounting); the engine absorbs it here with relaxed
-/// `fetch_add`s, so concurrent queries never serialize on a trace mutex.
+/// live [`QueryTrace`] field (the retired marginal-cache and sparse
+/// lowering fields always read 0). Executors still fill a local
+/// `QueryTrace` (exact, single-threaded accounting); the engine absorbs
+/// it here with relaxed `fetch_add`s, so concurrent queries never
+/// serialize on a trace mutex.
 /// When global telemetry is enabled ([`dbhist_telemetry::set_enabled`]),
 /// every absorbed delta is mirrored into the process-wide
 /// `dbhist_query_*` metrics as well.
@@ -173,7 +174,6 @@ struct EngineMetrics {
     plan_cache_misses: Counter,
     kernel_hits: Counter,
     kernel_lowered_dense: Counter,
-    kernel_lowered_sparse: Counter,
     kernel_fallbacks: Counter,
 }
 
@@ -200,7 +200,6 @@ impl EngineMetrics {
         self.plan_cache_misses.add(to_u64(t.plan_cache_misses));
         self.kernel_hits.add(to_u64(t.kernel_hits));
         self.kernel_lowered_dense.add(to_u64(t.kernel_lowered_dense));
-        self.kernel_lowered_sparse.add(to_u64(t.kernel_lowered_sparse));
         self.kernel_fallbacks.add(to_u64(t.kernel_fallbacks));
     }
 
@@ -223,7 +222,7 @@ impl EngineMetrics {
             marginal_cache_misses: 0,
             kernel_hits: to_usize(self.kernel_hits.value()),
             kernel_lowered_dense: to_usize(self.kernel_lowered_dense.value()),
-            kernel_lowered_sparse: to_usize(self.kernel_lowered_sparse.value()),
+            kernel_lowered_sparse: 0,
             kernel_fallbacks: to_usize(self.kernel_fallbacks.value()),
         }
     }
@@ -240,7 +239,6 @@ impl EngineMetrics {
         self.plan_cache_misses.reset();
         self.kernel_hits.reset();
         self.kernel_lowered_dense.reset();
-        self.kernel_lowered_sparse.reset();
         self.kernel_fallbacks.reset();
     }
 }
@@ -270,7 +268,6 @@ fn mirror_global(t: &QueryTrace) {
     w.query_plans_compiled.add(to_u64(t.plan_cache_misses));
     w.query_kernel_hits.add(to_u64(t.kernel_hits));
     w.query_kernel_lowered_dense.add(to_u64(t.kernel_lowered_dense));
-    w.query_kernel_lowered_sparse.add(to_u64(t.kernel_lowered_sparse));
     w.query_kernel_fallbacks.add(to_u64(t.kernel_fallbacks));
 }
 
@@ -291,7 +288,7 @@ pub enum PlanStep {
         attrs: AttrSet,
     },
     /// Pop the two topmost operands and push their product
-    /// (`second.product(&top)`, preserving the interpreter's operand
+    /// (`second.product(&top)`, preserving the Fig. 3 recursion's operand
     /// order).
     Product,
     /// Variable-elimination tidying: project the top of the stack onto
@@ -403,10 +400,10 @@ impl MarginalPlan {
     }
 }
 
-/// The Fig. 3 recursion, re-expressed as plan emission. Mirrors
-/// `Ctx::go`/`Ctx::go_loose` in `crate::marginal` exactly — every branch
-/// decision here depends only on tree structure and the target, so it can
-/// run at plan time.
+/// The Fig. 3 recursion, re-expressed as plan emission. Mirrors the
+/// strict and loose direct recursions in `dbhist_bench::fig3` exactly —
+/// every branch decision here depends only on tree structure and the
+/// target, so it can run at plan time.
 struct Planner<'a> {
     cliques: &'a [AttrSet],
     children: &'a [Vec<usize>],
@@ -1000,8 +997,8 @@ impl<F: Factor> QueryEngine<F> {
     }
 
     /// [`QueryEngine::estimate_mass`] with an [`ExplainReport`] of the
-    /// actual execution: the resolved path, per-step timings, layout and
-    /// shed decisions, and scratch reuse.
+    /// actual execution: the resolved path, per-step timings, shed
+    /// decisions, and scratch reuse.
     ///
     /// The returned estimate is bit-identical to the plain call — the
     /// recording probe observes without touching any operand (pinned by
@@ -1055,9 +1052,6 @@ impl<F: Factor> QueryEngine<F> {
                 if P::ACTIVE {
                     probe.resolved_path(QueryPath::KernelHit);
                     probe.kernel_lowered(true);
-                    for group in kernel.groups() {
-                        probe.layout(group.layout());
-                    }
                 }
                 let mut scratch;
                 if P::ACTIVE {
@@ -1112,15 +1106,7 @@ impl<F: Factor> QueryEngine<F> {
                 }
             }
             if lowerable {
-                for ix in &lowered {
-                    match ix.layout() {
-                        IndexLayout::Dense => t.kernel_lowered_dense += 1,
-                        IndexLayout::Sparse => t.kernel_lowered_sparse += 1,
-                    }
-                    if P::ACTIVE {
-                        probe.layout(ix.layout());
-                    }
-                }
+                t.kernel_lowered_dense += lowered.len();
                 let kernel = Some(Arc::new(MassKernel::new(total, lowered)));
                 self.shapes.insert(key, Shape { plan: shape.plan, kernel });
             } else {
@@ -1140,14 +1126,13 @@ impl<F: Factor> QueryEngine<F> {
 mod tests {
     use super::*;
     use crate::factor::ExactFactor;
-    use crate::marginal::{compute_marginal_interpreted, estimate_mass_interpreted};
     use dbhist_distribution::{Relation, Schema};
     use dbhist_histogram::mhist::MhistBuilder;
     use dbhist_histogram::{SplitCriterion, SplitTree};
     use dbhist_model::{DecomposableModel, MarkovGraph};
 
     /// 5 attributes with chain dependencies 0-1, 1-2, plus pair 3-4 (the
-    /// same fixture as `crate::marginal`'s tests).
+    /// shape of `crate::marginal`'s fixture, with another seed).
     fn relation() -> Relation {
         let schema = Schema::new(vec![("a", 4), ("b", 4), ("c", 4), ("d", 3), ("e", 3)]).unwrap();
         let mut rows = Vec::new();
@@ -1185,66 +1170,6 @@ mod tests {
                 MhistBuilder::build(&rel.marginal(c).unwrap(), 32, SplitCriterion::MaxDiff).unwrap()
             })
             .collect()
-    }
-
-    fn targets() -> Vec<AttrSet> {
-        vec![
-            AttrSet::from_ids([0]),
-            AttrSet::from_ids([0, 1]),
-            AttrSet::from_ids([0, 2]),
-            AttrSet::from_ids([0, 4]),
-            AttrSet::from_ids([2, 3]),
-            AttrSet::from_ids([0, 2, 4]),
-            AttrSet::from_ids([0, 1, 2, 3, 4]),
-        ]
-    }
-
-    #[test]
-    fn planned_marginal_is_bit_identical_to_interpreter() {
-        let rel = relation();
-        let m = model(&rel);
-        let factors = exact_factors(&rel, &m);
-        let tree = m.junction_tree();
-        let views = tree.rooted_views();
-        for target in targets() {
-            let plan = MarginalPlan::compile(tree, &views, &target).unwrap();
-            let mut trace = QueryTrace::default();
-            let planned = execute_marginal(&plan, &factors, &mut trace).unwrap();
-            let (interp, stats) = compute_marginal_interpreted(tree, &factors, &target).unwrap();
-            assert_eq!(planned.attrs(), interp.attrs(), "{target}");
-            for (k, v) in interp.0.iter() {
-                let got = planned.0.frequency(k);
-                assert_eq!(got.to_bits(), v.to_bits(), "{target}: key {k:?}: {got} vs {v}");
-            }
-            // Operation counts match the interpreter's accounting.
-            assert_eq!(trace.products, stats.products, "{target}");
-            assert_eq!(trace.projections + trace.sheds, stats.projections, "{target}");
-        }
-    }
-
-    #[test]
-    fn planned_mass_is_bit_identical_to_interpreter() {
-        let rel = relation();
-        let m = model(&rel);
-        let factors = exact_factors(&rel, &m);
-        let tree = m.junction_tree();
-        let views = tree.rooted_views();
-        let queries: Vec<Vec<(u16, u32, u32)>> = vec![
-            vec![(0, 0, 1)],
-            vec![(0, 0, 2), (2, 1, 3)],
-            vec![(0, 1, 2), (3, 0, 1), (4, 1, 2)],
-            vec![(1, 2, 2), (4, 0, 0)],
-            vec![(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 2), (4, 0, 2)],
-        ];
-        for ranges in queries {
-            let target = AttrSet::from_ids(ranges.iter().map(|r| r.0));
-            let query = Query::from(ranges);
-            let plan = MassPlan::compile(tree, &views, &target).unwrap();
-            let mut trace = QueryTrace::default();
-            let planned = execute_mass(&plan, &factors, &query, &mut trace).unwrap();
-            let interp = estimate_mass_interpreted(tree, &factors, &target, &query).unwrap();
-            assert_eq!(planned.to_bits(), interp.to_bits(), "{query:?}: {planned} vs {interp}");
-        }
     }
 
     #[test]
@@ -1294,7 +1219,7 @@ mod tests {
         let t0 = engine.trace();
         assert_eq!(t0.plan_cache_misses, 1);
         assert_eq!(t0.plan_cache_hits, 0);
-        assert_eq!(t0.kernel_lowered_dense + t0.kernel_lowered_sparse, 1, "{t0:?}");
+        assert_eq!(t0.kernel_lowered_dense, 1, "{t0:?}");
 
         let warm = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
         let t1 = engine.trace();
@@ -1311,7 +1236,7 @@ mod tests {
         assert_eq!(t2.plan_cache_misses, 1, "plans survive kernel invalidation: {t2:?}");
         assert_eq!(t2.plan_cache_hits, 1, "{t2:?}");
         assert_eq!(t2.kernel_hits, 1, "{t2:?}");
-        assert_eq!(t2.kernel_lowered_dense + t2.kernel_lowered_sparse, 2, "{t2:?}");
+        assert_eq!(t2.kernel_lowered_dense, 2, "{t2:?}");
     }
 
     #[test]
@@ -1365,23 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_marginal_matches_free_function() {
-        let rel = relation();
-        let m = model(&rel);
-        let factors = exact_factors(&rel, &m);
-        let tree = m.junction_tree();
-        let engine: QueryEngine<ExactFactor> = QueryEngine::new(tree);
-        let target = AttrSet::from_ids([0, 2]);
-        let a = engine.marginal(tree, &factors, &target).unwrap();
-        let b = engine.marginal(tree, &factors, &target).unwrap();
-        let (interp, _) = compute_marginal_interpreted(tree, &factors, &target).unwrap();
-        for (k, v) in interp.0.iter() {
-            assert_eq!(a.0.frequency(k).to_bits(), v.to_bits());
-            assert_eq!(b.0.frequency(k).to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
     fn engine_kernel_path_is_bit_identical_and_skips_plan_execution() {
         let rel = relation();
         let m = model(&rel);
@@ -1394,7 +1302,7 @@ mod tests {
         let cold = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
         let t0 = engine.trace();
         assert_eq!(t0.kernel_hits, 0);
-        assert!(t0.kernel_lowered_dense + t0.kernel_lowered_sparse >= 1, "{t0:?}");
+        assert!(t0.kernel_lowered_dense >= 1, "{t0:?}");
         assert_eq!(t0.kernel_fallbacks, 0, "split trees always lower: {t0:?}");
 
         let warm = engine.estimate_mass(tree, &factors, &target, &query).unwrap();

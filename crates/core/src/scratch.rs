@@ -4,7 +4,7 @@
 //! small `(lo, hi)` vectors per walk — the descending node box and the
 //! intersected query constraint. Allocating them per query would put two
 //! heap round-trips on the hottest path in the engine, so the
-//! [`QueryEngine`](crate::plan::QueryEngine) owns a [`ScratchPool`] of
+//! [`QueryEngine`](crate::plan::QueryEngine) owns a `ScratchPool` of
 //! [`PlanScratch`] arenas: a walk pops one (or creates the first), reuses
 //! its capacity, and pushes it back. Buffers are cleared and refilled at
 //! the start of every walk, so reuse can never leak state between
@@ -23,19 +23,11 @@ const MAX_POOLED: usize = 64;
 /// One query's worth of kernel-walk scratch: the mutable node box and the
 /// query constraint, both indexed by attribute position.
 #[derive(Debug, Default)]
-pub struct PlanScratch {
+pub(crate) struct PlanScratch {
     /// Current node bounds during the walk (mutated and restored).
     pub(crate) bounds: Vec<(u32, u32)>,
     /// The query box intersected with the factor domain.
     pub(crate) constraint: Vec<(u32, u32)>,
-}
-
-impl PlanScratch {
-    /// A fresh, empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// A small free-list of [`PlanScratch`] arenas shared by every query on

@@ -44,6 +44,6 @@ pub use bbox::BoundingBox;
 pub use criterion::SplitCriterion;
 pub use error::HistogramError;
 pub use grid::GridHistogram;
-pub use mhist::{IndexLayout, SplitTree, TreeIndex};
+pub use mhist::{SplitTree, TreeIndex};
 pub use one_dim::{OneDimHistogram, PrefixSums};
 pub use traits::MultiHistogram;

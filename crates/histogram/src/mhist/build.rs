@@ -1,4 +1,4 @@
-//! MHIST-2 construction (paper §3.2, after Poosala & Ioannidis [18]).
+//! MHIST-2 construction (paper §3.2, after Poosala & Ioannidis \[18\]).
 //!
 //! The builder maintains the current bucketization as a growing split
 //! tree. At each step it finds, over all buckets and all dimensions, the

@@ -18,14 +18,9 @@
 //! (`u16::MAX` marks a leaf), so the walk never re-derives
 //! `attrs.position(attr)` per node.
 //!
-//! Two lowered layouts exist:
-//!
-//! * [`IndexLayout::Dense`] — every arena node is materialized.
-//! * [`IndexLayout::Sparse`] — subtrees whose total mass is exactly zero
-//!   are collapsed into a single zero leaf (the self-tuning-histogram
-//!   trick of keeping storage proportional to *occupied* buckets). Chosen
-//!   automatically when leaf occupancy falls below
-//!   [`SPARSE_OCCUPANCY_THRESHOLD`].
+//! Every arena node is materialized. Zero subtrees are not collapsed:
+//! prune 1 below stops the walk at a zero subtree's root before it reads
+//! the node, so a zero subtree costs one visit whatever its shape.
 //!
 //! # Bit-identity contract
 //!
@@ -48,28 +43,15 @@
 //!    Returning the stored total is identical.
 //!
 //! The summation order is therefore *fixed by the tree shape* and shared
-//! with the interpreter; `tests/plan_equivalence.rs` pins the equivalence
+//! with `SplitTree::mass_rec`; `tests/plan_equivalence.rs` pins the equivalence
 //! with proptests.
 
 use dbhist_distribution::{AttrId, AttrSet};
 
 use super::{Node, SplitTree};
 
-/// Leaf occupancy (non-zero leaves / total leaves) below which
-/// [`TreeIndex::lower`] picks the zero-collapsing sparse layout.
-pub const SPARSE_OCCUPANCY_THRESHOLD: f64 = 0.25;
-
 /// Sentinel in [`PackedNode::pos`] marking a leaf.
 const LEAF_POS: u16 = u16::MAX;
-
-/// Which lowering a [`TreeIndex`] was built with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexLayout {
-    /// Every arena node materialized.
-    Dense,
-    /// All-zero subtrees collapsed into single zero leaves.
-    Sparse,
-}
 
 /// One flattened node: split value, right-child offset (left child is
 /// always the next index), and the split attribute's position in the
@@ -82,8 +64,8 @@ struct PackedNode {
 }
 
 /// A flattened split tree answering `mass_in_box` with a pruned,
-/// bit-identical walk; see the [module docs](self) for the layout and the
-/// bit-identity contract.
+/// bit-identical walk; see the `mhist::index` module docs for the layout
+/// and the bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct TreeIndex {
     attrs: AttrSet,
@@ -93,18 +75,10 @@ pub struct TreeIndex {
     totals: Vec<f64>,
     /// Parallel packed structure array.
     nodes: Vec<PackedNode>,
-    layout: IndexLayout,
-    /// Leaves in the source tree (before any sparse collapsing).
-    source_leaves: usize,
-    /// Leaves with non-zero frequency in the source tree.
-    occupied_leaves: usize,
 }
 
 impl TreeIndex {
-    /// Lowers `tree` into a flattened index, choosing
-    /// [`IndexLayout::Sparse`] when leaf occupancy is below
-    /// [`SPARSE_OCCUPANCY_THRESHOLD`] and [`IndexLayout::Dense`]
-    /// otherwise.
+    /// Lowers `tree` into a flattened index.
     ///
     /// Returns `None` when the tree cannot be indexed: more than 64
     /// attributes (the containment bitmask is a `u64`), or a structurally
@@ -143,43 +117,22 @@ impl TreeIndex {
                 }
             };
         }
-        let source_leaves = arena.iter().filter(|n| matches!(n, Node::Leaf { .. })).count();
-        let occupied_leaves = arena
-            .iter()
-            // lint:allow-next-line(float-cmp): occupancy counts exact-zero buckets
-            .filter(|n| matches!(n, Node::Leaf { freq } if *freq != 0.0))
-            .count();
-        #[allow(clippy::cast_precision_loss)]
-        let occupancy =
-            if source_leaves == 0 { 1.0 } else { occupied_leaves as f64 / source_leaves as f64 };
-        let layout = if occupancy < SPARSE_OCCUPANCY_THRESHOLD {
-            IndexLayout::Sparse
-        } else {
-            IndexLayout::Dense
-        };
-
         let mut index = Self {
             attrs: tree.attrs().clone(),
             domain: tree.domain().ranges().to_vec(),
             totals: Vec::with_capacity(arena.len()),
             nodes: Vec::with_capacity(arena.len()),
-            layout,
-            source_leaves,
-            occupied_leaves,
         };
         index.emit(tree, &arena_total, 0)?;
         Some(index)
     }
 
-    /// Appends the subtree rooted at arena node `src` in preorder,
-    /// collapsing zero subtrees under the sparse layout. Returns `None`
-    /// on an uncovered split attribute (corrupt tree).
+    /// Appends the subtree rooted at arena node `src` in preorder.
+    /// Returns `None` on an uncovered split attribute (corrupt tree).
     fn emit(&mut self, tree: &SplitTree, arena_total: &[f64], src: u32) -> Option<()> {
         let total = arena_total[src as usize];
-        // lint:allow-next-line(float-cmp): zero subtrees prune identically whatever their shape
-        let collapse = self.layout == IndexLayout::Sparse && total == 0.0;
         match &tree.nodes()[src as usize] {
-            Node::Internal { attr, split, left, right } if !collapse => {
+            Node::Internal { attr, split, left, right } => {
                 let pos = tree.attrs().position(*attr)?;
                 let pos = u16::try_from(pos).ok().filter(|p| *p != LEAF_POS)?;
                 let here = self.nodes.len();
@@ -190,8 +143,7 @@ impl TreeIndex {
                 self.nodes[here].right = right_at;
                 self.emit(tree, arena_total, *right)?;
             }
-            _ => {
-                // A true leaf, or a zero subtree collapsed into one.
+            Node::Leaf { .. } => {
                 self.totals.push(total);
                 self.nodes.push(PackedNode { split: 0, right: 0, pos: LEAF_POS });
             }
@@ -199,35 +151,10 @@ impl TreeIndex {
         Some(())
     }
 
-    /// The layout the lowering selected.
-    #[must_use]
-    pub fn layout(&self) -> IndexLayout {
-        self.layout
-    }
-
     /// The attributes the index covers (same as the source tree).
     #[must_use]
     pub fn attrs(&self) -> &AttrSet {
         &self.attrs
-    }
-
-    /// Source-tree leaves with non-zero frequency over all source leaves,
-    /// the sparse-selection criterion.
-    #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        if self.source_leaves == 0 {
-            1.0
-        } else {
-            self.occupied_leaves as f64 / self.source_leaves as f64
-        }
-    }
-
-    /// Materialized nodes (post-collapse) — the sparse layout's storage
-    /// win shows up here.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Total frequency mass (the root's subtree total).
@@ -395,7 +322,6 @@ mod tests {
     fn dense_index_is_bit_identical_to_tree_walk() {
         let tree = skewed_tree(0);
         let index = TreeIndex::lower(&tree).unwrap();
-        assert_eq!(index.layout(), IndexLayout::Dense);
         assert_eq!(index.total().to_bits(), {
             let mut b = Vec::new();
             let mut c = Vec::new();
@@ -411,13 +337,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_index_collapses_and_stays_bit_identical() {
+    fn low_occupancy_index_stays_bit_identical() {
         let tree = skewed_tree(8); // only x ∈ {0, 8} occupied
         let index = TreeIndex::lower(&tree).unwrap();
-        assert!(index.occupancy() <= 1.0);
-        if index.layout() == IndexLayout::Sparse {
-            assert!(index.node_count() <= tree.nodes().len());
-        }
         for q in boxes() {
             assert_eq!(
                 tree.mass_in_box(&q).to_bits(),

@@ -18,7 +18,7 @@ mod index;
 mod ops;
 
 pub use build::MhistBuilder;
-pub use index::{IndexLayout, TreeIndex, SPARSE_OCCUPANCY_THRESHOLD};
+pub use index::TreeIndex;
 
 use dbhist_distribution::{AttrId, AttrSet};
 

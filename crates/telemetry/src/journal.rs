@@ -61,13 +61,6 @@ pub enum JournalEvent {
         /// The drift reading that tripped.
         drift: f64,
     },
-    /// A bounded cache evicted an entry under capacity pressure.
-    CacheEviction {
-        /// Which cache (`"plan"`, `"marginal"`, `"kernel"`).
-        cache: String,
-        /// Entries resident after the eviction.
-        entries: u64,
-    },
     /// An ingest batch was made durable in the write-ahead log.
     WalAppend {
         /// Sequence number the batch committed at.
@@ -101,7 +94,6 @@ impl JournalEvent {
             JournalEvent::GenerationSwap { .. } => "generation_swap",
             JournalEvent::Rebuild { .. } => "rebuild",
             JournalEvent::DriftTrip { .. } => "drift_trip",
-            JournalEvent::CacheEviction { .. } => "cache_eviction",
             JournalEvent::WalAppend { .. } => "wal_append",
             JournalEvent::WalTruncate { .. } => "wal_truncate",
             JournalEvent::Resplit { .. } => "resplit",
@@ -130,9 +122,6 @@ impl JournalEvent {
             }
             JournalEvent::DriftTrip { clique, drift } => {
                 let _ = write!(s, ",\"clique\":{clique},\"drift\":{}", fmt_f64(*drift));
-            }
-            JournalEvent::CacheEviction { cache, entries } => {
-                let _ = write!(s, ",\"cache\":\"{}\",\"entries\":{entries}", json_escape(cache));
             }
             JournalEvent::WalAppend { seq: batch_seq, ops, bytes } => {
                 let _ = write!(s, ",\"batch_seq\":{batch_seq},\"ops\":{ops},\"bytes\":{bytes}");
@@ -321,7 +310,7 @@ mod tests {
         j.publish(JournalEvent::GenerationSwap { generation: 2, latency_ns: 1234 });
         j.publish(JournalEvent::Rebuild { rows: 4096, max_drift: 0.25 });
         j.publish(JournalEvent::DriftTrip { clique: 3, drift: 0.6 });
-        j.publish(JournalEvent::CacheEviction { cache: "plan".to_string(), entries: 64 });
+        j.publish(JournalEvent::Rebuild { rows: 0, max_drift: f64::NAN });
         j.publish(JournalEvent::WalAppend { seq: 9, ops: 128, bytes: 1664 });
         j.publish(JournalEvent::WalTruncate { batches: 10 });
         j.publish(JournalEvent::Resplit { clique: 2, buckets: 48 });
@@ -333,7 +322,7 @@ mod tests {
         assert!(jsonl.contains("\"latency_ns\":1234"));
         assert!(jsonl.contains("\"event\":\"rebuild\""));
         assert!(jsonl.contains("\"event\":\"drift_trip\""));
-        assert!(jsonl.contains("\"event\":\"cache_eviction\""));
+        assert!(jsonl.contains("\"max_drift\":null"), "non-finite floats render as null");
         assert!(jsonl.contains("\"event\":\"wal_append\""));
         assert!(jsonl.contains("\"batch_seq\":9"));
         assert!(jsonl.contains("\"event\":\"wal_truncate\""));

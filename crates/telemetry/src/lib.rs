@@ -14,7 +14,7 @@
 //!   [`dbhist_histogram::OneDimHistogram`] as its snapshot
 //!   representation), plus the process-wide [`Registry`] and the global
 //!   [`enabled`] switch.
-//! * [`span`] — the [`span!`] macro: an RAII guard that times a lexical
+//! * [`span`](mod@span) — the [`span!`] macro: an RAII guard that times a lexical
 //!   scope, maintains a thread-local span *stack* (so nested spans know
 //!   their depth), and records into the registry. With telemetry disabled
 //!   and no collector installed, entering a span is two relaxed atomic
@@ -23,10 +23,10 @@
 //!   windows *and* full error distributions per model clique, fed by
 //!   observed cardinalities, exposed as per-clique drift and
 //!   error-quantile gauges that maintenance policies consult.
-//! * [`journal`] — a bounded, mostly-lock-free ring of typed engine
+//! * [`journal`](mod@journal) — a bounded, mostly-lock-free ring of typed engine
 //!   events (sampled query explains, generation swaps, rebuilds, drift
-//!   trips, cache evictions) drained as JSONL by the observability
-//!   endpoint.
+//!   trips, re-splits, WAL appends and truncations) drained as JSONL by
+//!   the observability endpoint.
 //! * [`export`] — [`export::to_json`] and [`export::to_prometheus`]
 //!   render the same [`Snapshot`].
 //! * [`wellknown`] — pre-registered handles for every `dbhist_*` metric

@@ -27,7 +27,6 @@ pub struct WellKnown {
     pub query_plan_cache_misses: Arc<Counter>,
     pub query_kernel_hits: Arc<Counter>,
     pub query_kernel_lowered_dense: Arc<Counter>,
-    pub query_kernel_lowered_sparse: Arc<Counter>,
     pub query_kernel_fallbacks: Arc<Counter>,
     /// Wall-clock nanoseconds per `estimate_mass` / `marginal` call.
     pub query_latency: Arc<LatencyHistogram>,
@@ -102,7 +101,6 @@ pub fn wellknown() -> &'static WellKnown {
             query_plan_cache_misses: r.counter("dbhist_query_plan_cache_misses_total"),
             query_kernel_hits: r.counter("dbhist_query_kernel_hits_total"),
             query_kernel_lowered_dense: r.counter("dbhist_query_kernel_lowered_dense_total"),
-            query_kernel_lowered_sparse: r.counter("dbhist_query_kernel_lowered_sparse_total"),
             query_kernel_fallbacks: r.counter("dbhist_query_kernel_fallbacks_total"),
             query_latency: r.histogram("dbhist_query_estimate_latency_ns"),
             build_selection_rounds: r.counter("dbhist_build_selection_rounds_total"),
@@ -155,7 +153,6 @@ mod tests {
             "dbhist_query_plan_cache_hits_total",
             "dbhist_query_kernel_hits_total",
             "dbhist_query_kernel_lowered_dense_total",
-            "dbhist_query_kernel_lowered_sparse_total",
             "dbhist_query_kernel_fallbacks_total",
             "dbhist_query_estimate_latency_ns",
             "dbhist_build_selection_rounds_total",

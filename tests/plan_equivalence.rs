@@ -1,5 +1,6 @@
 //! Property tests: the plan-based query engine is observationally
-//! identical to the recursive Fig. 3 interpreter.
+//! identical to the recursive Fig. 3 interpreter (`dbhist_bench::fig3`,
+//! which ships in no library crate and exists to be this oracle).
 //!
 //! `MarginalPlan`/`MassPlan` compile the interpreter's recursion into a
 //! step program whose execution replays the *same* factor operations in
@@ -9,25 +10,26 @@
 //! factors, and query sets. Cached replays (shape-cache plans and
 //! kernels) must also be bit-identical to their cold runs.
 //!
-//! The dense kernel backend rides the same contract: lowered tree
-//! indices (dense or sparse layout), the engine's pooled scratch reuse
-//! across interleaved queries, and the O(log b) windowed range sums must
-//! all stay bit-identical to the recursive walks they replace.
+//! The kernel backend rides the same contract: lowered tree indices
+//! (including low-occupancy trees full of zero buckets), the engine's
+//! pooled scratch reuse across interleaved queries, and the O(log b)
+//! windowed range sums must all stay bit-identical to the recursive walks
+//! they replace.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests assert by panicking
 
 use dbhist::core::factor::{ExactFactor, Factor};
-use dbhist::core::marginal::{
-    compute_marginal_interpreted, compute_marginal_with_stats, estimate_mass,
-    estimate_mass_interpreted,
+use dbhist::core::marginal::{compute_marginal_with_stats, estimate_mass};
+use dbhist::core::plan::{
+    execute_marginal, execute_mass, MarginalPlan, MassPlan, QueryEngine, QueryTrace,
 };
-use dbhist::core::plan::QueryEngine;
 use dbhist::core::Query;
 use dbhist::distribution::{AttrId, AttrSet, Relation, Schema};
-use dbhist::histogram::mhist::{MhistBuilder, SPARSE_OCCUPANCY_THRESHOLD};
-use dbhist::histogram::{IndexLayout, OneDimHistogram, SplitCriterion, SplitTree, TreeIndex};
+use dbhist::histogram::mhist::MhistBuilder;
+use dbhist::histogram::{OneDimHistogram, SplitCriterion, SplitTree, TreeIndex};
 use dbhist::model::chordal::addable_edge_separator;
 use dbhist::model::{DecomposableModel, MarkovGraph};
+use dbhist_bench::fig3::{compute_marginal_interpreted, estimate_mass_interpreted};
 use proptest::prelude::*;
 
 /// A query shape (target attributes) plus its conjunctive box.
@@ -283,11 +285,10 @@ proptest! {
         }
     }
 
-    /// Lowered tree indices: the dense/sparse layout choice follows the
-    /// occupancy threshold (computed here independently from the source
-    /// tree's leaves), and both layouts answer `mass_in_box` bit-identical
-    /// to the recursive `SplitTree` walk — including when one scratch
-    /// buffer pair is reused across interleaved trees and queries.
+    /// Lowered tree indices answer `mass_in_box` bit-identical to the
+    /// recursive `SplitTree` walk, on uniform and on low-occupancy
+    /// (`spiky`) trees — including when one scratch buffer pair is reused
+    /// across interleaved trees and queries.
     #[test]
     fn lowered_index_layout_and_mass_bit_identical(
         arity in 1usize..=3,
@@ -300,7 +301,7 @@ proptest! {
         let mut state = seed | 1;
         let schema = Schema::new((0..arity).map(|i| (format!("a{i}"), domain))).unwrap();
         // `spiky` concentrates mass on the two extreme values so gap
-        // buckets go to zero and the sparse layout gets exercised too.
+        // buckets go to zero and the zero-subtree prune gets exercised.
         let data: Vec<Vec<u32>> = (0..rows)
             .map(|_| {
                 (0..arity)
@@ -319,19 +320,6 @@ proptest! {
         let tree = MhistBuilder::build(
             &rel.marginal(&all).unwrap(), buckets, SplitCriterion::MaxDiff).unwrap();
         let index = TreeIndex::lower(&tree).unwrap();
-
-        // Layout selection: recompute occupancy from the source tree.
-        let leaves = tree.leaves();
-        #[allow(clippy::cast_precision_loss)]
-        let occupancy =
-            leaves.iter().filter(|&&(_, f)| f != 0.0).count() as f64 / leaves.len() as f64;
-        let expected = if occupancy < SPARSE_OCCUPANCY_THRESHOLD {
-            IndexLayout::Sparse
-        } else {
-            IndexLayout::Dense
-        };
-        prop_assert_eq!(index.layout(), expected, "occupancy {}", occupancy);
-        prop_assert!((index.occupancy() - occupancy).abs() < 1e-12);
         prop_assert_eq!(index.total().to_bits(), tree.total().to_bits());
 
         // One scratch pair, reused across every query (and in the 2-attr
@@ -351,7 +339,7 @@ proptest! {
             let indexed = index.mass_in_box_with(&ranges, &mut bounds, &mut constraint);
             prop_assert_eq!(
                 indexed.to_bits(), walked.to_bits(),
-                "{:?} on {:?}: {} vs {}", index.layout(), &ranges, indexed, walked
+                "spiky {} on {:?}: {} vs {}", spiky, &ranges, indexed, walked
             );
             // Interleave a query against the other index through the SAME
             // scratch buffers: reuse must not leak state between kernels.
@@ -416,7 +404,7 @@ proptest! {
         }
         let trace = engine.trace();
         prop_assert!(
-            trace.kernel_lowered_dense + trace.kernel_lowered_sparse >= 1,
+            trace.kernel_lowered_dense >= 1,
             "split-tree groups must lower: {:?}", trace
         );
         prop_assert!(
@@ -531,4 +519,150 @@ proptest! {
             prop_assert_eq!(second.to_bits(), expected.to_bits());
         }
     }
+}
+
+/// Fixed-seed fixtures for the example-based interpreter comparisons: 5
+/// attributes with chain dependencies 0-1, 1-2, plus pair 3-4.
+mod chain {
+    use super::*;
+
+    pub fn relation(seed: u64, rows: usize) -> Relation {
+        let schema = Schema::new(vec![("a", 4), ("b", 4), ("c", 4), ("d", 3), ("e", 3)]).unwrap();
+        let mut state = seed;
+        let mut next = || xorshift(&mut state);
+        let data: Vec<Vec<u32>> = (0..rows)
+            .map(|_| {
+                let a = (next() % 4) as u32;
+                // b correlates with a; c with b; e with d.
+                let b = if next() % 3 == 0 { (next() % 4) as u32 } else { a };
+                let c = if next() % 3 == 0 { (next() % 4) as u32 } else { b };
+                let d = (next() % 3) as u32;
+                let e = if next() % 4 == 0 { (next() % 3) as u32 } else { d };
+                vec![a, b, c, d, e]
+            })
+            .collect();
+        Relation::from_rows(schema, data).unwrap()
+    }
+
+    pub fn model(rel: &Relation) -> DecomposableModel {
+        let g = MarkovGraph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
+        DecomposableModel::new(rel.schema().clone(), g).unwrap()
+    }
+
+    pub fn exact_factors(rel: &Relation, m: &DecomposableModel) -> Vec<ExactFactor> {
+        m.cliques().iter().map(|c| ExactFactor(rel.marginal(c).unwrap())).collect()
+    }
+
+    pub fn targets() -> Vec<AttrSet> {
+        vec![
+            AttrSet::from_ids([0]),
+            AttrSet::from_ids([0, 1]),
+            AttrSet::from_ids([0, 2]),
+            AttrSet::from_ids([0, 4]),
+            AttrSet::from_ids([2, 3]),
+            AttrSet::from_ids([0, 2, 4]),
+            AttrSet::from_ids([0, 1, 2, 3, 4]),
+        ]
+    }
+}
+
+#[test]
+fn planned_marginal_is_bit_identical_to_interpreter() {
+    let rel = chain::relation(988_777, 2500);
+    let m = chain::model(&rel);
+    let factors = chain::exact_factors(&rel, &m);
+    let tree = m.junction_tree();
+    let views = tree.rooted_views();
+    for target in chain::targets() {
+        let plan = MarginalPlan::compile(tree, &views, &target).unwrap();
+        let mut trace = QueryTrace::default();
+        let planned = execute_marginal(&plan, &factors, &mut trace).unwrap();
+        let (interp, stats) = compute_marginal_interpreted(tree, &factors, &target).unwrap();
+        assert_eq!(planned.attrs(), interp.attrs(), "{target}");
+        for (k, v) in interp.0.iter() {
+            let got = planned.0.frequency(k);
+            assert_eq!(got.to_bits(), v.to_bits(), "{target}: key {k:?}: {got} vs {v}");
+        }
+        // Operation counts match the interpreter's accounting.
+        assert_eq!(trace.products, stats.products, "{target}");
+        assert_eq!(trace.projections + trace.sheds, stats.projections, "{target}");
+    }
+}
+
+#[test]
+fn planned_mass_is_bit_identical_to_interpreter() {
+    let rel = chain::relation(988_777, 2500);
+    let m = chain::model(&rel);
+    let factors = chain::exact_factors(&rel, &m);
+    let tree = m.junction_tree();
+    let views = tree.rooted_views();
+    let queries: Vec<Vec<(u16, u32, u32)>> = vec![
+        vec![(0, 0, 1)],
+        vec![(0, 0, 2), (2, 1, 3)],
+        vec![(0, 1, 2), (3, 0, 1), (4, 1, 2)],
+        vec![(1, 2, 2), (4, 0, 0)],
+        vec![(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 2), (4, 0, 2)],
+    ];
+    for ranges in queries {
+        let target = AttrSet::from_ids(ranges.iter().map(|r| r.0));
+        let query = Query::from(ranges);
+        let plan = MassPlan::compile(tree, &views, &target).unwrap();
+        let mut trace = QueryTrace::default();
+        let planned = execute_mass(&plan, &factors, &query, &mut trace).unwrap();
+        let interp = estimate_mass_interpreted(tree, &factors, &target, &query).unwrap();
+        assert_eq!(planned.to_bits(), interp.to_bits(), "{query:?}: {planned} vs {interp}");
+    }
+}
+
+#[test]
+fn engine_marginal_matches_free_function() {
+    let rel = chain::relation(988_777, 2500);
+    let m = chain::model(&rel);
+    let factors = chain::exact_factors(&rel, &m);
+    let tree = m.junction_tree();
+    let engine: QueryEngine<ExactFactor> = QueryEngine::new(tree);
+    let target = AttrSet::from_ids([0, 2]);
+    let a = engine.marginal(tree, &factors, &target).unwrap();
+    let b = engine.marginal(tree, &factors, &target).unwrap();
+    let (interp, _) = compute_marginal_interpreted(tree, &factors, &target).unwrap();
+    for (k, v) in interp.0.iter() {
+        assert_eq!(a.0.frequency(k).to_bits(), v.to_bits());
+        assert_eq!(b.0.frequency(k).to_bits(), v.to_bits());
+    }
+}
+
+#[test]
+fn planned_entry_point_matches_interpreter() {
+    // The public entry points run the plan path; the interpreter is
+    // the specification. Results and operation counts must coincide.
+    let rel = chain::relation(12345, 3000);
+    let m = chain::model(&rel);
+    let factors = chain::exact_factors(&rel, &m);
+    for target in [
+        AttrSet::from_ids([0]),
+        AttrSet::from_ids([0, 2]),
+        AttrSet::from_ids([0, 4]),
+        AttrSet::from_ids([2, 3]),
+        AttrSet::from_ids([0, 1, 2, 3, 4]),
+    ] {
+        let (planned, planned_stats) =
+            compute_marginal_with_stats(m.junction_tree(), &factors, &target).unwrap();
+        let (interp, interp_stats) =
+            compute_marginal_interpreted(m.junction_tree(), &factors, &target).unwrap();
+        assert_eq!(planned_stats, interp_stats, "target {target}");
+        assert_eq!(planned.attrs(), interp.attrs(), "target {target}");
+        for (k, v) in interp.0.iter() {
+            assert_eq!(planned.0.frequency(k).to_bits(), v.to_bits(), "target {target}: key {k:?}");
+        }
+    }
+}
+
+#[test]
+fn interpreter_rejects_uncovered_attribute() {
+    // The planned half of this check is `marginal::tests::uncovered_attribute_is_an_error`.
+    let rel = chain::relation(12345, 3000);
+    let m = chain::model(&rel);
+    let factors = chain::exact_factors(&rel, &m);
+    let bad = AttrSet::from_ids([0, 9]);
+    assert!(compute_marginal_interpreted(m.junction_tree(), &factors, &bad).is_err());
 }
